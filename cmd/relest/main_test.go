@@ -49,6 +49,25 @@ func TestGoldenOutput(t *testing.T) {
 				"-seed", "42",
 			},
 		},
+		{
+			name:   "avg-select",
+			golden: "testdata/avg_select.golden",
+			args: []string{
+				"-rel", "orders=testdata/orders.csv",
+				"-query", "avg(select(orders, amount > 100), amount)",
+				"-seed", "42",
+			},
+		},
+		{
+			name:   "group-join",
+			golden: "testdata/group_join.golden",
+			args: []string{
+				"-rel", "orders=testdata/orders.csv",
+				"-rel", "customers=testdata/customers.csv",
+				"-query", "group(join(orders, customers, on cust_id = id), cust_id)",
+				"-seed", "42",
+			},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -14,17 +14,24 @@ import (
 	"relest/internal/workload"
 )
 
-// goldenPath pins the estimate response bytes at a fixed seed. Regenerate
-// deliberately with RELESTD_UPDATE_GOLDEN=1 go test ./internal/server
-// after an intended estimator or wire-format change.
-const goldenPath = "testdata/estimate_count.golden.json"
+// goldenCases pins the estimate response bytes of one query per
+// aggregate at a fixed seed. Regenerate deliberately with
+// RELESTD_UPDATE_GOLDEN=1 go test ./internal/server after an intended
+// estimator or wire-format change.
+var goldenCases = []struct {
+	name, query, path string
+}{
+	{"count", "count(join(R1, R2, on a = a))", "testdata/estimate_count.golden.json"},
+	{"sum", "sum(select(R1, a > 10), a)", "testdata/estimate_sum.golden.json"},
+	{"avg", "avg(R1, a)", "testdata/estimate_avg.golden.json"},
+}
 
 // libraryResponseBytes computes the same estimate the daemon serves for
-// goldenRequest, via direct library calls, and encodes it exactly the
-// way writeJSON does. Any divergence between the facade and the library
-// — an extra draw, a different iteration order, a lossy float round-trip
-// — breaks the byte comparison.
-func libraryResponseBytes(t *testing.T) []byte {
+// the query, via direct library calls, and encodes it exactly the way
+// writeJSON does. Any divergence between the facade and the library —
+// an extra draw, a different iteration order, a lossy float round-trip —
+// breaks the byte comparison.
+func libraryResponseBytes(t *testing.T, q string) []byte {
 	t.Helper()
 	rng := sampling.NewSource(7).Rand(0)
 	r1, r2 := workload.JoinPair(rng, workload.JoinPairSpec{
@@ -40,23 +47,44 @@ func libraryResponseBytes(t *testing.T) []byte {
 	if err := syn.AddDrawn(r2, 200, drawRNG); err != nil {
 		t.Fatal(err)
 	}
-	st, err := query.Parse("count(join(R1, R2, on a = a))", synopsisSchemas{syn})
+	st, err := query.Parse(q, synopsisSchemas{syn})
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := estimator.CountContext(context.Background(), st.Expr, syn, estimator.Options{Seed: 3})
+	ctx, opts := context.Background(), estimator.Options{Seed: 3}
+	var result EstimateResult
+	switch st.Agg {
+	case "count":
+		est, err := estimator.CountContext(ctx, st.Expr, syn, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		result = toResult(est)
+	case "sum":
+		est, err := estimator.SumContext(ctx, st.Expr, st.AggCol, syn, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		result = toResult(est)
+	case "avg":
+		res, err := estimator.AvgContext(ctx, st.Expr, st.AggCol, syn, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		result = EstimateResult{Value: res.Avg, VarianceMethod: estimator.VarNone.String(), Terms: res.Count.Terms}
+	default:
+		t.Fatalf("no library call for aggregate %q", st.Agg)
+	}
+	consumed, err := consumedSamples(st.Expr, syn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp := EstimateResponse{
-		Query:    "count(join(R1, R2, on a = a))",
-		Synopsis: "main",
-		Mode:     "plain",
-		Estimate: toResult(est),
-		SamplesConsumed: map[string]int{
-			"R1": 200,
-			"R2": 200,
-		},
+		Query:           q,
+		Synopsis:        "main",
+		Mode:            "plain",
+		Estimate:        result,
+		SamplesConsumed: consumed,
 	}
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
@@ -68,46 +96,50 @@ func libraryResponseBytes(t *testing.T) []byte {
 }
 
 // TestEstimateGoldenByteIdentity pins the facade's determinism contract:
-// the response body at a fixed seed is byte-identical across worker
-// counts, byte-identical to a direct library call, and byte-identical to
-// the committed golden file.
+// for each aggregate, the response body at a fixed seed is byte-identical
+// across worker counts, byte-identical to a direct library call, and
+// byte-identical to the committed golden file.
 func TestEstimateGoldenByteIdentity(t *testing.T) {
 	_, base := startServer(t, Config{})
 	setupDataset(t, base, 2000, 200)
 
-	var first []byte
-	for _, workers := range []int{1, 4} {
-		status, raw := postJSON(t, base+"/v1/estimate", EstimateRequest{
-			Query:    "count(join(R1, R2, on a = a))",
-			Synopsis: "main",
-			Seed:     3,
-			Workers:  workers,
+	for _, tc := range goldenCases {
+		t.Run(tc.name, func(t *testing.T) {
+			var first []byte
+			for _, workers := range []int{1, 4} {
+				status, raw := postJSON(t, base+"/v1/estimate", EstimateRequest{
+					Query:    tc.query,
+					Synopsis: "main",
+					Seed:     3,
+					Workers:  workers,
+				})
+				if status != http.StatusOK {
+					t.Fatalf("workers=%d: %d %s", workers, status, raw)
+				}
+				if first == nil {
+					first = raw
+				} else if !bytes.Equal(first, raw) {
+					t.Fatalf("workers=%d response differs from workers=1:\n%s\nvs\n%s", workers, raw, first)
+				}
+			}
+
+			lib := libraryResponseBytes(t, tc.query)
+			if !bytes.Equal(first, lib) {
+				t.Errorf("service response differs from direct library call:\nservice: %s\nlibrary: %s", first, lib)
+			}
+
+			if os.Getenv("RELESTD_UPDATE_GOLDEN") != "" {
+				if err := os.WriteFile(tc.path, first, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(tc.path)
+			if err != nil {
+				t.Fatalf("%v (set RELESTD_UPDATE_GOLDEN=1 to create it)", err)
+			}
+			if !bytes.Equal(first, want) {
+				t.Errorf("response differs from %s:\ngot:  %s\nwant: %s", tc.path, first, want)
+			}
 		})
-		if status != http.StatusOK {
-			t.Fatalf("workers=%d: %d %s", workers, status, raw)
-		}
-		if first == nil {
-			first = raw
-		} else if !bytes.Equal(first, raw) {
-			t.Fatalf("workers=%d response differs from workers=1:\n%s\nvs\n%s", workers, raw, first)
-		}
-	}
-
-	lib := libraryResponseBytes(t)
-	if !bytes.Equal(first, lib) {
-		t.Errorf("service response differs from direct library call:\nservice: %s\nlibrary: %s", first, lib)
-	}
-
-	if os.Getenv("RELESTD_UPDATE_GOLDEN") != "" {
-		if err := os.WriteFile(goldenPath, first, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("%v (set RELESTD_UPDATE_GOLDEN=1 to create it)", err)
-	}
-	if !bytes.Equal(first, want) {
-		t.Errorf("response differs from %s:\ngot:  %s\nwant: %s", goldenPath, first, want)
 	}
 }
