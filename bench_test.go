@@ -65,9 +65,10 @@ func BenchmarkPointEstimateJoin(b *testing.B) {
 	if err := syn.AddDrawn(r2, 1_000, rng); err != nil {
 		b.Fatal(err)
 	}
+	h := sampleTier(syn, relest.Options{Variance: relest.VarNone})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := relest.CountWithOptions(e, syn, relest.Options{Variance: relest.VarNone}); err != nil {
+		if _, err := h.Count(context.Background(), relest.Request{Expr: e}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -90,9 +91,10 @@ func BenchmarkPointEstimateWithVariance(b *testing.B) {
 	if err := syn.AddDrawn(r2, 1_000, rng); err != nil {
 		b.Fatal(err)
 	}
+	h := sampleTier(syn, relest.Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := relest.Count(e, syn); err != nil {
+		if _, err := h.Count(context.Background(), relest.Request{Expr: e}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -123,10 +125,10 @@ func varianceBenchSynopsis(b *testing.B, seed int64) (*relest.Expr, *relest.Syno
 // given method and worker bound.
 func benchCountVariance(b *testing.B, method relest.VarianceMethod, workers int) {
 	e, syn := varianceBenchSynopsis(b, 6)
-	opts := relest.Options{Variance: method, Seed: 42, Workers: workers}
+	h := sampleTier(syn, relest.Options{Variance: method, Seed: 42, Workers: workers})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := relest.CountWithOptions(e, syn, opts); err != nil {
+		if _, err := h.Count(context.Background(), relest.Request{Expr: e}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -151,7 +153,7 @@ func BenchmarkSplitSampleVariance(b *testing.B) {
 // the incremental synopsis (reservoir + random pairing).
 func BenchmarkIncrementalUpdate(b *testing.B) {
 	rng := relest.Seeded(3)
-	inc := relest.NewIncremental(1_000, rng)
+	inc := relest.NewIncrementalWithOptions(relest.IncrementalOptions{Capacity: 1_000, RNG: rng})
 	if err := inc.Track("R", relest.JoinSchema()); err != nil {
 		b.Fatal(err)
 	}
@@ -308,10 +310,10 @@ func overlapBenchFixture(b *testing.B) (*relest.Expr, *relest.Synopsis) {
 // 3-term union per iteration.
 func benchMultiTermOverlap(b *testing.B, disableCSE bool) {
 	e, syn := overlapBenchFixture(b)
-	opts := relest.Options{Variance: relest.VarNone, DisableCSE: disableCSE}
+	h := sampleTier(syn, relest.Options{Variance: relest.VarNone, DisableCSE: disableCSE})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := relest.CountWithOptions(e, syn, opts); err != nil {
+		if _, err := h.Count(context.Background(), relest.Request{Expr: e}); err != nil {
 			b.Fatal(err)
 		}
 	}

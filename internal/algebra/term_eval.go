@@ -477,7 +477,7 @@ func (pt *PreparedTerm) EnumeratePart(part, parts int, visit func(rows []int) bo
 }
 
 // PlanCache caches compiled term plans keyed by (term identity, instance
-// identities). One CountWithOptions call with replication-based variance
+// identities). One CountContext call with replication-based variance
 // evaluates the same (term, instances) pairs many times — the point
 // estimate plus every replicate that leaves a relation untouched — and the
 // cache makes each pair compile exactly once. It is safe for concurrent

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"relest/internal/estimator"
@@ -97,7 +98,7 @@ func T6Baselines(seed int64, scale Scale) *Table {
 				if err := syn.AddDrawn(col2, budget, rng); err != nil {
 					panic(err)
 				}
-				est, err := estimator.CountWithOptions(e, syn, estimator.Options{Variance: estimator.VarNone})
+				est, err := estimator.CountContext(context.Background(), e, syn, estimator.Options{Variance: estimator.VarNone})
 				if err != nil {
 					panic(err)
 				}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"relest/internal/algebra"
@@ -91,7 +92,7 @@ func F1Composite(seed int64, scale Scale) *Table {
 					panic(err)
 				}
 			}
-			est, err := estimator.CountWithOptions(e, syn, estimator.Options{Variance: estimator.VarNone})
+			est, err := estimator.CountContext(context.Background(), e, syn, estimator.Options{Variance: estimator.VarNone})
 			if err != nil {
 				panic(err)
 			}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -81,7 +82,7 @@ func A1Stratified(seed int64, scale Scale) *Table {
 				if err != nil {
 					panic(err)
 				}
-				est, err := estimator.CountWithOptions(q.e, syn, estimator.Options{Variance: estimator.VarNone})
+				est, err := estimator.CountContext(context.Background(), q.e, syn, estimator.Options{Variance: estimator.VarNone})
 				if err != nil {
 					panic(err)
 				}
@@ -167,7 +168,7 @@ func A2PageSampling(seed int64, scale Scale) *Table {
 				if err != nil {
 					panic(err)
 				}
-				est, err := estimator.CountWithOptions(e, syn, estimator.Options{Variance: estimator.VarNone})
+				est, err := estimator.CountContext(context.Background(), e, syn, estimator.Options{Variance: estimator.VarNone})
 				if err != nil {
 					panic(err)
 				}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"relest/internal/algebra"
@@ -54,7 +55,7 @@ func T2Join(seed int64, scale Scale) *Table {
 					if err := syn.AddDrawn(r2, int(f*float64(N)), rng); err != nil {
 						panic(err)
 					}
-					est, err := estimator.CountWithOptions(e, syn, estimator.Options{Variance: estimator.VarNone})
+					est, err := estimator.CountContext(context.Background(), e, syn, estimator.Options{Variance: estimator.VarNone})
 					if err != nil {
 						panic(err)
 					}
@@ -116,7 +117,7 @@ func T7SelfJoin(seed int64, scale Scale) *Table {
 				if err := syn.AddDrawn(r, n, rng); err != nil {
 					panic(err)
 				}
-				est, err := estimator.CountWithOptions(e, syn, estimator.Options{Variance: estimator.VarNone})
+				est, err := estimator.CountContext(context.Background(), e, syn, estimator.Options{Variance: estimator.VarNone})
 				if err != nil {
 					panic(err)
 				}

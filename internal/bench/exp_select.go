@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"relest/internal/algebra"
@@ -57,7 +58,7 @@ func T1Selection(seed int64, scale Scale) *Table {
 				if err := syn.AddDrawn(rel, n, rng); err != nil {
 					panic(err)
 				}
-				est, err := estimator.CountWithOptions(e, syn, estimator.Options{
+				est, err := estimator.CountContext(context.Background(), e, syn, estimator.Options{
 					Variance: estimator.VarAnalytic,
 				})
 				if err != nil {
@@ -128,7 +129,7 @@ func F2Coverage(seed int64, scale Scale) *Table {
 							panic(err)
 						}
 					}
-					est, err := estimator.CountWithOptions(q, syn, estimator.Options{
+					est, err := estimator.CountContext(context.Background(), q, syn, estimator.Options{
 						Variance:   estimator.VarAnalytic,
 						Confidence: lvl,
 					})

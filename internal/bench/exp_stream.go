@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -89,11 +90,11 @@ func F4Incremental(seed int64, scale Scale) *Table {
 			if err != nil {
 				panic(err)
 			}
-			selEst, err := estimator.CountWithOptions(sel, syn, estimator.Options{Variance: estimator.VarNone})
+			selEst, err := estimator.CountContext(context.Background(), sel, syn, estimator.Options{Variance: estimator.VarNone})
 			if err != nil {
 				panic(err)
 			}
-			joinEst, err := estimator.CountWithOptions(join, syn, estimator.Options{Variance: estimator.VarNone})
+			joinEst, err := estimator.CountContext(context.Background(), join, syn, estimator.Options{Variance: estimator.VarNone})
 			if err != nil {
 				panic(err)
 			}

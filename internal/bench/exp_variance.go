@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"relest/internal/algebra"
@@ -65,7 +66,7 @@ func T5Variance(seed int64, scale Scale) *Table {
 				if err := syn.AddDrawn(r2, int(fraction*float64(N)), rng); err != nil {
 					panic(err)
 				}
-				est, err := estimator.CountWithOptions(c.e, syn, estimator.Options{
+				est, err := estimator.CountContext(context.Background(), c.e, syn, estimator.Options{
 					Variance: m,
 					Seed:     int64(i),
 				})

@@ -25,23 +25,13 @@ import (
 // — itself biased O(1/n) but consistent, as is standard for ratio
 // estimators.
 
-// Sum estimates SUM(col) over the result of the π-free expression e from
-// the synopsis, with default options.
-func Sum(e *algebra.Expr, col string, syn *Synopsis) (Estimate, error) {
-	return SumWithOptions(e, col, syn, Options{})
-}
-
-// SumWithOptions estimates SUM(col) over e's result. The column must be a
-// numeric column of e's output schema; null values contribute zero (SQL
-// SUM semantics over non-null values).
-func SumWithOptions(e *algebra.Expr, col string, syn *Synopsis, opts Options) (Estimate, error) {
-	return SumContext(context.Background(), e, col, syn, opts)
-}
-
-// SumContext is SumWithOptions with cancellation, under the same contract
-// as CountContext: the context is polled between terms and between
-// variance replicates, cancellation yields a non-nil error and no partial
-// estimate, and a never-cancelled context changes nothing.
+// SumContext estimates SUM(col) over the result of the π-free expression
+// e from the synopsis. The column must be a numeric column of e's output
+// schema; null values contribute zero (SQL SUM semantics over non-null
+// values). Cancellation follows CountContext's contract: the context is
+// polled between terms and between variance replicates, cancellation
+// yields a non-nil error and no partial estimate, and a never-cancelled
+// context changes nothing.
 func SumContext(ctx context.Context, e *algebra.Expr, col string, syn *Synopsis, opts Options) (Estimate, error) {
 	opts = opts.withDefaults()
 	pos := e.Schema().ColumnIndex(col)
@@ -120,15 +110,10 @@ type AvgResult struct {
 	Sum, Count Estimate
 }
 
-// Avg estimates AVG(col) over e's result as the ratio of the SUM and COUNT
-// estimators — biased O(1/n) but consistent (the classical ratio
-// estimator).
-func Avg(e *algebra.Expr, col string, syn *Synopsis, opts Options) (AvgResult, error) {
-	return AvgContext(context.Background(), e, col, syn, opts)
-}
-
-// AvgContext is Avg with cancellation, inherited from the underlying
-// SumContext and CountContext calls.
+// AvgContext estimates AVG(col) over e's result as the ratio of the SUM
+// and COUNT estimators — biased O(1/n) but consistent (the classical ratio
+// estimator). Cancellation is inherited from the underlying SumContext
+// and CountContext calls.
 func AvgContext(ctx context.Context, e *algebra.Expr, col string, syn *Synopsis, opts Options) (AvgResult, error) {
 	sum, err := SumContext(ctx, e, col, syn, opts)
 	if err != nil {

@@ -12,6 +12,7 @@
 package estimator_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -63,7 +64,7 @@ func TestCalibrationSelection(t *testing.T) {
 		if err := syn.AddDrawn(rel, int(frac*nRows), rng); err != nil {
 			t.Fatal(err)
 		}
-		est, err := estimator.CountWithOptions(e, syn, estimator.Options{Variance: estimator.VarAnalytic})
+		est, err := estimator.CountContext(context.Background(), e, syn, estimator.Options{Variance: estimator.VarAnalytic})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +111,7 @@ func TestCalibrationJoin(t *testing.T) {
 		if err := syn.AddDrawn(r2, int(frac*nRows), rng); err != nil {
 			t.Fatal(err)
 		}
-		est, err := estimator.CountWithOptions(join, syn, estimator.Options{Variance: estimator.VarAnalytic})
+		est, err := estimator.CountContext(context.Background(), join, syn, estimator.Options{Variance: estimator.VarAnalytic})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +156,7 @@ func TestCalibrationCoverageVsNominal(t *testing.T) {
 			if err := syn.AddDrawn(rel, int(frac*nRows), rng); err != nil {
 				t.Fatal(err)
 			}
-			est, err := estimator.CountWithOptions(e, syn, estimator.Options{
+			est, err := estimator.CountContext(context.Background(), e, syn, estimator.Options{
 				Variance:   estimator.VarAnalytic,
 				Confidence: lvl,
 			})
@@ -214,11 +215,11 @@ func TestCalibrationVarianceAgreement(t *testing.T) {
 			if err := syn.AddDrawn(r2, int(frac*nRows), rng); err != nil {
 				t.Fatal(err)
 			}
-			analytic, err := estimator.CountWithOptions(join, syn, estimator.Options{Variance: estimator.VarAnalytic})
+			analytic, err := estimator.CountContext(context.Background(), join, syn, estimator.Options{Variance: estimator.VarAnalytic})
 			if err != nil {
 				t.Fatal(err)
 			}
-			replicated, err := estimator.CountWithOptions(join, syn, estimator.Options{Variance: method, Seed: int64(tr)})
+			replicated, err := estimator.CountContext(context.Background(), join, syn, estimator.Options{Variance: method, Seed: int64(tr)})
 			if err != nil {
 				t.Fatal(err)
 			}

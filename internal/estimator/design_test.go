@@ -1,6 +1,7 @@
 package estimator
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -31,7 +32,7 @@ func TestPageSamplingUnbiasedExhaustive(t *testing.T) {
 		var mean stats.Welford
 		subsets(M, m, func(pages []int) {
 			syn := pageSynopsisFor(t, r, pageSize, pages)
-			est, err := CountWithOptions(sel, syn, Options{Variance: VarNone})
+			est, err := CountContext(context.Background(), sel, syn, Options{Variance: VarNone})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -52,7 +53,7 @@ func TestPageSamplingUnbiasedExhaustive(t *testing.T) {
 				if err := syn.AddSample(s.Subset("S", srows), s.Len()); err != nil {
 					t.Fatal(err)
 				}
-				est, err := CountWithOptions(join, syn, Options{Variance: VarNone})
+				est, err := CountContext(context.Background(), join, syn, Options{Variance: VarNone})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -106,7 +107,7 @@ func TestPageVarianceUnbiasedExhaustive(t *testing.T) {
 	var ests, vars stats.Welford
 	subsets(M, m, func(pages []int) {
 		syn := pageSynopsisFor(t, r, pageSize, pages)
-		est, err := CountWithOptions(sel, syn, Options{Variance: VarAnalytic})
+		est, err := CountContext(context.Background(), sel, syn, Options{Variance: VarAnalytic})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +136,7 @@ func TestPageSamplingAPI(t *testing.T) {
 	// Self-join over a page sample must be refused.
 	e := algebra.Must(algebra.Join(algebra.BaseOf(r), algebra.BaseOf(r),
 		[]algebra.On{{Left: "a", Right: "a"}}, nil, "R2"))
-	if _, err := CountWithOptions(e, syn, Options{Variance: VarNone}); err == nil {
+	if _, err := CountContext(context.Background(), e, syn, Options{Variance: VarNone}); err == nil {
 		t.Error("repeated relation over page sample should fail")
 	}
 	// Distinct over a page sample must be refused.
@@ -178,7 +179,7 @@ func TestStratifiedUnbiasedExhaustive(t *testing.T) {
 		s0c := append([]int{}, s0...)
 		subsets(len(strat1), n1, func(s1 []int) {
 			syn := stratifiedSynopsisFor(t, r, [][]int{strat0, strat1}, [][]int{s0c, s1})
-			est, err := CountWithOptions(sel, syn, Options{Variance: VarNone})
+			est, err := CountContext(context.Background(), sel, syn, Options{Variance: VarNone})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -226,7 +227,7 @@ func TestStratifiedVarianceUnbiasedExhaustive(t *testing.T) {
 		s0c := append([]int{}, s0...)
 		subsets(len(strat1), 2, func(s1 []int) {
 			syn := stratifiedSynopsisFor(t, r, [][]int{strat0, strat1}, [][]int{s0c, s1})
-			est, err := CountWithOptions(sel, syn, Options{Variance: VarAnalytic})
+			est, err := CountContext(context.Background(), sel, syn, Options{Variance: VarAnalytic})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -258,7 +259,7 @@ func TestStratificationReducesVariance(t *testing.T) {
 		if err := syn.AddDrawn(r, n, rng); err != nil {
 			t.Fatal(err)
 		}
-		est, err := CountWithOptions(sel, syn, Options{Variance: VarNone})
+		est, err := CountContext(context.Background(), sel, syn, Options{Variance: VarNone})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +272,7 @@ func TestStratificationReducesVariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		est2, err := CountWithOptions(sel, syn2, Options{Variance: VarNone})
+		est2, err := CountContext(context.Background(), sel, syn2, Options{Variance: VarNone})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +309,7 @@ func TestStratifiedAPIAndGuards(t *testing.T) {
 	// Self-join refused.
 	e := algebra.Must(algebra.Join(algebra.BaseOf(r), algebra.BaseOf(r),
 		[]algebra.On{{Left: "a", Right: "a"}}, nil, "R2"))
-	if _, err := CountWithOptions(e, syn, Options{Variance: VarNone}); err == nil {
+	if _, err := CountContext(context.Background(), e, syn, Options{Variance: VarNone}); err == nil {
 		t.Error("repeated relation over stratified sample should fail")
 	}
 	// Distinct refused.
@@ -321,7 +322,7 @@ func TestStratifiedAPIAndGuards(t *testing.T) {
 	}
 	// Jackknife refused.
 	sel := algebra.Must(algebra.Select(algebra.BaseOf(r), algebra.Cmp{Col: "a", Op: algebra.EQ, Val: relation.Int(1)}))
-	if _, err := CountWithOptions(sel, syn, Options{Variance: VarJackknife}); err == nil {
+	if _, err := CountContext(context.Background(), sel, syn, Options{Variance: VarJackknife}); err == nil {
 		t.Error("jackknife over stratified sample should fail")
 	}
 	// Split-sample works (join with a plain relation).
@@ -331,7 +332,7 @@ func TestStratifiedAPIAndGuards(t *testing.T) {
 	}
 	join := algebra.Must(algebra.Join(algebra.BaseOf(r), algebra.BaseOf(s),
 		[]algebra.On{{Left: "a", Right: "a"}}, nil, "S"))
-	est, err := CountWithOptions(join, syn, Options{Variance: VarSplitSample, Groups: 4})
+	est, err := CountContext(context.Background(), join, syn, Options{Variance: VarSplitSample, Groups: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +340,7 @@ func TestStratifiedAPIAndGuards(t *testing.T) {
 		t.Errorf("split-sample variance %v", est.Variance)
 	}
 	// Stratified SUM: Horvitz–Thompson path.
-	sum, err := SumWithOptions(sel, "id", syn, Options{Variance: VarNone})
+	sum, err := SumContext(context.Background(), sel, "id", syn, Options{Variance: VarNone})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,18 +36,16 @@ type engine struct {
 	// estimates are bit-identical with or without a live recorder.
 	rec  obs.Recorder
 	span obs.Span
-	// ctx carries the call's cancellation signal (nil = never cancelled).
-	// It is polled between terms and between variance replicates, never
-	// inside an enumeration, so honoring it cannot reorder reductions.
+	// ctx carries the call's cancellation signal. It is polled between
+	// terms and between variance replicates, never inside an enumeration,
+	// so honoring it cannot reorder reductions.
 	ctx context.Context
 	// disableCSE skips the cross-term shared-prefix attachment pass
 	// (Options.DisableCSE).
 	disableCSE bool
 }
 
-// newEngine builds the engine for one top-level estimation call. ctx may
-// be nil (no cancellation), which is what the non-context entry points
-// pass.
+// newEngine builds the engine for one top-level estimation call.
 func newEngine(ctx context.Context, opts Options) *engine {
 	rec := obs.Or(opts.Recorder)
 	plans := opts.Plans
@@ -68,9 +66,6 @@ func newEngine(ctx context.Context, opts Options) *engine {
 // the whole estimate, so a partial value can never leak out with a nil
 // error.
 func (eng *engine) cancelled() error {
-	if eng.ctx == nil {
-		return nil
-	}
 	return ctxErr(eng.ctx)
 }
 
@@ -90,8 +85,10 @@ func ctxErr(ctx context.Context) error {
 // throwaway evaluation. Sub-engines do not record: replicate-internal
 // term spans and counters would swamp the top-level signal, and the
 // replicate fan-out itself is already timed by the caller's recorder.
+// Their context is never cancelled: the caller polls its own between
+// replicates.
 func subEngine(plans *algebra.PlanCache, cacheIf func(t *algebra.Term) bool) *engine {
-	return &engine{workers: 1, plans: plans, cacheIf: cacheIf, rec: obs.Nop}
+	return &engine{workers: 1, plans: plans, cacheIf: cacheIf, rec: obs.Nop, ctx: context.Background()}
 }
 
 // prepare returns the (cached, when eligible) compiled plan for the term

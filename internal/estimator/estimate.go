@@ -141,12 +141,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Count estimates COUNT(e) from the synopsis with default options.
-func Count(e *algebra.Expr, syn *Synopsis) (Estimate, error) {
-	return CountWithOptions(e, syn, Options{})
-}
-
-// CountWithOptions estimates COUNT(e) from the synopsis.
+// CountContext estimates COUNT(e) from the synopsis; it is the sample
+// tier's only COUNT entry point (Estimator.Count routes here).
 //
 // The expression must be π-free (use Distinct for projection counts). Set
 // operations (∪, ∩, −) additionally require the base relations involved to
@@ -154,16 +150,11 @@ func Count(e *algebra.Expr, syn *Synopsis) (Estimate, error) {
 // unbiased provided every relation's sample size is at least the relation's
 // maximum number of occurrences in any polynomial term (it returns an error
 // below that).
-func CountWithOptions(e *algebra.Expr, syn *Synopsis, opts Options) (Estimate, error) {
-	return CountContext(context.Background(), e, syn, opts)
-}
-
-// CountContext is CountWithOptions with cancellation: the context is
-// polled between polynomial terms and between variance replicates, and a
-// cancelled call returns a non-nil error, never a partial estimate. With a
-// background (or never-cancelled) context the returned estimate is
-// bit-identical to CountWithOptions — the polling consumes no randomness
-// and reorders nothing.
+//
+// The context is polled between polynomial terms and between variance
+// replicates, and a cancelled call returns a non-nil error, never a
+// partial estimate. Polling consumes no randomness and reorders nothing,
+// so a never-cancelled context leaves the estimate bit-identical.
 func CountContext(ctx context.Context, e *algebra.Expr, syn *Synopsis, opts Options) (Estimate, error) {
 	poly, err := algebra.Normalize(e)
 	if err != nil {

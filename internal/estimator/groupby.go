@@ -1,6 +1,7 @@
 package estimator
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -30,10 +31,13 @@ type GroupEstimate struct {
 	Count float64
 }
 
-// GroupCount estimates COUNT(*) GROUP BY col over the π-free expression e.
-// Results are sorted by descending estimated count (ties by value order)
-// and include only groups observed in the sample.
-func GroupCount(e *algebra.Expr, col string, syn *Synopsis) ([]GroupEstimate, error) {
+// GroupCountContext estimates COUNT(*) GROUP BY col over the π-free
+// expression e. Results are sorted by descending estimated count (ties by
+// value order) and include only groups observed in the sample. The
+// options supply the worker count, recorder and plan cache (variance and
+// confidence do not apply: group estimates are point estimates). The
+// context is polled between terms, under CountContext's contract.
+func GroupCountContext(ctx context.Context, e *algebra.Expr, col string, syn *Synopsis, opts Options) ([]GroupEstimate, error) {
 	pos := e.Schema().ColumnIndex(col)
 	if pos < 0 {
 		return nil, fmt.Errorf("estimator: no column %q in expression schema %s", col, e.Schema())
@@ -48,10 +52,13 @@ func GroupCount(e *algebra.Expr, col string, syn *Synopsis) ([]GroupEstimate, er
 	// Terms (or, for a single term, its plan partitions) fan out across
 	// workers; per-term group maps merge in term order so the counts are
 	// identical for every worker count.
-	eng := newEngine(nil, Options{})
+	eng := newEngine(ctx, opts)
 	termAccs := make([]map[string]*GroupEstimate, len(poly.Terms))
 	outer, inner := splitWorkers(len(poly.Terms), eng.workers)
-	err = parallel.ForErr(len(poly.Terms), outer, func(i int) error {
+	err = parallel.ForErrRec(len(poly.Terms), outer, eng.rec, func(i int) error {
+		if err := eng.cancelled(); err != nil {
+			return err
+		}
 		termAccs[i] = map[string]*GroupEstimate{}
 		return accumulateGroups(&poly.Terms[i], syn, pos, eng, inner, termAccs[i])
 	})

@@ -1,6 +1,7 @@
 package estimator
 
 import (
+	"context"
 	"testing"
 
 	"relest/internal/algebra"
@@ -16,7 +17,7 @@ func TestGroupCountCensusIsExact(t *testing.T) {
 	if err := syn.AddSample(r.Clone("R"), r.Len()); err != nil {
 		t.Fatal(err)
 	}
-	groups, err := GroupCount(algebra.BaseOf(r), "g", syn)
+	groups, err := GroupCountContext(context.Background(), algebra.BaseOf(r), "g", syn, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestGroupCountUnbiasedPerGroupExhaustive(t *testing.T) {
 	sums := map[int64]*stats.Welford{1: {}, 2: {}, 3: {}}
 	subsets(r.Len(), n, func(rows []int) {
 		syn := synopsisFor(t, []*relation.Relation{r}, [][]int{rows})
-		groups, err := GroupCount(e, "g", syn)
+		groups, err := GroupCountContext(context.Background(), e, "g", syn, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +81,7 @@ func TestGroupCountOverJoin(t *testing.T) {
 	}
 	e := algebra.Must(algebra.Join(algebra.BaseOf(r), algebra.BaseOf(s),
 		[]algebra.On{{Left: "a", Right: "a"}}, nil, "S"))
-	groups, err := GroupCount(e, "a", syn)
+	groups, err := GroupCountContext(context.Background(), e, "a", syn, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestGroupCountOverJoin(t *testing.T) {
 		total += g.Count
 	}
 	// The group totals must add to the whole-expression estimate.
-	whole, err := CountWithOptions(e, syn, Options{Variance: VarNone})
+	whole, err := CountContext(context.Background(), e, syn, Options{Variance: VarNone})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +111,11 @@ func TestGroupCountErrors(t *testing.T) {
 	if err := syn.AddDrawn(r, 1, testRand(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := GroupCount(algebra.BaseOf(r), "zz", syn); err == nil {
+	if _, err := GroupCountContext(context.Background(), algebra.BaseOf(r), "zz", syn, Options{}); err == nil {
 		t.Error("unknown column should fail")
 	}
 	pr := algebra.Must(algebra.Project(algebra.BaseOf(r), "g"))
-	if _, err := GroupCount(pr, "g", syn); err == nil {
+	if _, err := GroupCountContext(context.Background(), pr, "g", syn, Options{}); err == nil {
 		t.Error("π should be rejected")
 	}
 }

@@ -11,11 +11,11 @@ import (
 
 // Estimator is the unified estimation handle: one synopsis, one set of
 // evaluation options, one tier policy, answering every request from the
-// cheapest tier that meets its precision target. It replaces the spread
-// of free functions (Count/CountWithOptions/CountContext/Sum.../...) with
-// a single (expression, request) surface; the free functions survive as
-// deprecated thin wrappers over a TierSampleOnly handle and stay
-// bit-identical to their historical outputs.
+// cheapest tier that meets its precision target. It is the one entry
+// point for plain COUNT, SUM, AVG and GROUP BY estimation; under
+// TierSampleOnly each method is exactly the package's sample-tier
+// function (CountContext, SumContext, AvgContext, GroupCountContext)
+// over the handle's options.
 //
 // A handle is cheap and immutable after construction; it is safe for
 // concurrent use exactly when its synopsis is (static synopses are —
@@ -125,7 +125,7 @@ func (e *Estimator) precisionFor(req Request) float64 {
 }
 
 // recordTier emits the tier-planner metrics (tiered requests only, so
-// sample-only wrappers keep their historical metric families exactly).
+// sample-only requests keep the sample tier's metric families exactly).
 func (e *Estimator) recordTier(rep TierReport) {
 	rec := e.opts.Recorder
 	if !obs.Live(rec) {
@@ -197,10 +197,7 @@ func (e *Estimator) GroupCount(ctx context.Context, req Request) ([]GroupEstimat
 	if e.policyFor(req) == TierSketchOnly {
 		return nil, TierReport{}, fmt.Errorf("estimator: sketch tier cannot answer GROUP BY %s; grouping needs the sample tier (auto or sample policy)", req.Col)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, TierReport{}, err
-	}
-	groups, err := GroupCount(req.Expr, req.Col, e.syn)
+	groups, err := GroupCountContext(ctx, req.Expr, req.Col, e.syn, e.opts)
 	if err != nil {
 		return nil, TierReport{}, err
 	}

@@ -58,19 +58,10 @@ type IncrementalOptions struct {
 	Seed int64
 }
 
-// NewIncremental creates an incremental synopsis holding up to capacity
-// sampled tuples per relation. The RNG drives all sampling decisions; use a
-// seeded generator for reproducible runs.
-//
-// Deprecated: use NewIncrementalWithOptions, which takes the RNG through
-// IncrementalOptions (RNG/Seed) like every other estimation entry point.
-// This wrapper forwards rng via opts.RNG and behaves identically.
-func NewIncremental(capacity int, rng *rand.Rand) *Incremental {
-	return NewIncrementalWithOptions(IncrementalOptions{Capacity: capacity, RNG: rng})
-}
-
-// NewIncrementalWithOptions creates an incremental synopsis from options.
-// It panics when Capacity < 1 (a programming error, like a negative slice
+// NewIncrementalWithOptions creates an incremental synopsis holding up to
+// opts.Capacity sampled tuples per relation. Sampling decisions draw from
+// opts.RNG (or a generator seeded with opts.Seed when RNG is nil). It
+// panics when Capacity < 1 (a programming error, like a negative slice
 // capacity).
 func NewIncrementalWithOptions(opts IncrementalOptions) *Incremental {
 	if opts.Capacity < 1 {

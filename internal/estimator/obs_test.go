@@ -1,6 +1,7 @@
 package estimator
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -21,7 +22,7 @@ func assertSameEstimate(t *testing.T, label string, a, b Estimate) {
 	t.Helper()
 	if !sameBits(a.Value, b.Value) || !sameBits(a.Variance, b.Variance) ||
 		!sameBits(a.Lo, b.Lo) || !sameBits(a.Hi, b.Hi) || a.VarianceMethod != b.VarianceMethod {
-		t.Errorf("%s: recorder changed the estimate:\n  with:    %+v\n  without: %+v", label, a, b)
+		t.Errorf("%s: estimates differ:\n  %+v\n  %+v", label, a, b)
 	}
 }
 
@@ -34,7 +35,7 @@ func TestRecorderDoesNotChangeEstimates(t *testing.T) {
 	for _, variance := range []VarianceMethod{VarAnalytic, VarSplitSample, VarJackknife} {
 		for _, workers := range []int{1, 4} {
 			base := Options{Variance: variance, Seed: 42, Workers: workers}
-			plain, err := CountWithOptions(expr, syn, base)
+			plain, err := CountContext(context.Background(), expr, syn, base)
 			if err != nil {
 				t.Fatalf("%v workers=%d: %v", variance, workers, err)
 			}
@@ -42,7 +43,7 @@ func TestRecorderDoesNotChangeEstimates(t *testing.T) {
 			rec.EnableTrace()
 			withRec := base
 			withRec.Recorder = rec
-			recorded, err := CountWithOptions(expr, syn, withRec)
+			recorded, err := CountContext(context.Background(), expr, syn, withRec)
 			if err != nil {
 				t.Fatalf("%v workers=%d recorded: %v", variance, workers, err)
 			}
@@ -53,14 +54,14 @@ func TestRecorderDoesNotChangeEstimates(t *testing.T) {
 	// SUM through the jackknife replication path.
 	for _, workers := range []int{1, 4} {
 		base := Options{Variance: VarJackknife, Seed: 9, Workers: workers}
-		plain, err := SumWithOptions(expr, "b", syn, base)
+		plain, err := SumContext(context.Background(), expr, "b", syn, base)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rec := obs.NewCollector()
 		withRec := base
 		withRec.Recorder = rec
-		recorded, err := SumWithOptions(expr, "b", syn, withRec)
+		recorded, err := SumContext(context.Background(), expr, "b", syn, withRec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +77,8 @@ func TestRecorderDoesNotChangeSequential(t *testing.T) {
 		t.Helper()
 		rng := rand.New(rand.NewSource(7))
 		expr, syn := drawnJoinSynopsis(t, 400, 300, 40, 11)
-		res, err := SequentialCount(expr, syn, rng, SequentialOptions{
+		res, err := SequentialCountContext(context.Background(), expr, syn, SequentialOptions{
+			RNG:          rng,
 			TargetRelErr: 0.2,
 			PilotSize:    30,
 			Estimate:     Options{Seed: 3, Workers: 2, Recorder: rec},
@@ -109,7 +111,7 @@ func TestRecorderObservesEngine(t *testing.T) {
 	expr, syn := drawnJoinSynopsis(t, 400, 300, 40, 11)
 	rec := obs.NewCollector()
 	tr := rec.EnableTrace()
-	if _, err := CountWithOptions(expr, syn, Options{Variance: VarSplitSample, Seed: 1, Workers: 4, Recorder: rec}); err != nil {
+	if _, err := CountContext(context.Background(), expr, syn, Options{Variance: VarSplitSample, Seed: 1, Workers: 4, Recorder: rec}); err != nil {
 		t.Fatal(err)
 	}
 	m := rec.Metrics()

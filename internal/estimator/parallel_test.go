@@ -1,6 +1,7 @@
 package estimator
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -48,7 +49,7 @@ func TestWorkersDeterminism(t *testing.T) {
 	for _, variance := range []VarianceMethod{VarSplitSample, VarJackknife, VarAnalytic} {
 		var base Estimate
 		for i, workers := range []int{1, 2, 3, 8} {
-			est, err := CountWithOptions(expr, syn, Options{Variance: variance, Seed: 42, Workers: workers})
+			est, err := CountContext(context.Background(), expr, syn, Options{Variance: variance, Seed: 42, Workers: workers})
 			if err != nil {
 				t.Fatalf("%v workers=%d: %v", variance, workers, err)
 			}
@@ -69,7 +70,7 @@ func TestWorkersDeterminismSum(t *testing.T) {
 	expr, syn := drawnJoinSynopsis(t, 300, 200, 30, 5)
 	var base Estimate
 	for i, workers := range []int{1, 4} {
-		est, err := SumWithOptions(expr, "b", syn, Options{Variance: VarJackknife, Seed: 9, Workers: workers})
+		est, err := SumContext(context.Background(), expr, "b", syn, Options{Variance: VarJackknife, Seed: 9, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +86,7 @@ func TestWorkersDeterminismSum(t *testing.T) {
 	u := algebra.Must(algebra.Union(algebra.BaseOf(r), algebra.BaseOf(s)))
 	var ubase Estimate
 	for i, workers := range []int{1, 8} {
-		est, err := CountWithOptions(u, syn2, Options{Variance: VarJackknife, Workers: workers})
+		est, err := CountContext(context.Background(), u, syn2, Options{Variance: VarJackknife, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +103,7 @@ func TestWorkersDeterminismSum(t *testing.T) {
 // eligibility for the former.
 func jackknifeBothWays(t *testing.T, poly algebra.Polynomial, syn *Synopsis) (single, naive float64) {
 	t.Helper()
-	eng := newEngine(nil, Options{Workers: 1})
+	eng := newEngine(context.Background(), Options{Workers: 1})
 	ok, err := singlePassEligible(poly, syn, eng, countContrib)
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +212,7 @@ func TestSinglePassJackknifeSum(t *testing.T) {
 	if pos < 0 {
 		t.Fatal("no column b")
 	}
-	eng := newEngine(nil, Options{Workers: 1})
+	eng := newEngine(context.Background(), Options{Workers: 1})
 	single, err := jackknifeSinglePass(poly, syn, eng, sumContrib(pos))
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +273,7 @@ func TestSinglePassFoldedTerms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := newEngine(nil, Options{Workers: 1})
+	eng := newEngine(context.Background(), Options{Workers: 1})
 	ok, err := singlePassEligible(ppoly, syn2, eng, countContrib)
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +282,7 @@ func TestSinglePassFoldedTerms(t *testing.T) {
 		t.Error("partially folded term should not be single-pass eligible")
 	}
 	// The public path must still produce a jackknife variance via fallback.
-	est, err := CountWithOptions(partial, syn2, Options{Variance: VarJackknife})
+	est, err := CountContext(context.Background(), partial, syn2, Options{Variance: VarJackknife})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +296,7 @@ func TestSinglePassFoldedTerms(t *testing.T) {
 // and compiled plans are read-only during evaluation.
 func TestConcurrentCountSharedSynopsis(t *testing.T) {
 	expr, syn := drawnJoinSynopsis(t, 300, 200, 30, 21)
-	want, err := CountWithOptions(expr, syn, Options{Variance: VarJackknife, Workers: 1})
+	want, err := CountContext(context.Background(), expr, syn, Options{Variance: VarJackknife, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +306,7 @@ func TestConcurrentCountSharedSynopsis(t *testing.T) {
 		wg.Add(1)
 		go func(workers int) {
 			defer wg.Done()
-			est, err := CountWithOptions(expr, syn, Options{Variance: VarJackknife, Workers: workers})
+			est, err := CountContext(context.Background(), expr, syn, Options{Variance: VarJackknife, Workers: workers})
 			if err != nil {
 				mismatch <- err.Error()
 				return
@@ -335,7 +336,7 @@ func benchJackknifeSetup(b *testing.B) (algebra.Polynomial, *Synopsis) {
 
 func BenchmarkJackknifeSinglePass(b *testing.B) {
 	poly, syn := benchJackknifeSetup(b)
-	eng := newEngine(nil, Options{Workers: 1})
+	eng := newEngine(context.Background(), Options{Workers: 1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := jackknifeSinglePass(poly, syn, eng, countContrib); err != nil {
@@ -346,7 +347,7 @@ func BenchmarkJackknifeSinglePass(b *testing.B) {
 
 func BenchmarkJackknifeNaive(b *testing.B) {
 	poly, syn := benchJackknifeSetup(b)
-	eng := newEngine(nil, Options{Workers: 1})
+	eng := newEngine(context.Background(), Options{Workers: 1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, err := jackknifeNaive(poly, syn, eng, func(sub *Synopsis, sube *engine) (float64, error) {

@@ -67,12 +67,14 @@ type SequentialResult struct {
 	TargetMet bool
 }
 
-// SequentialCount runs double sampling: a pilot estimate determines the
-// variance, the sample is grown to the size projected to achieve the target
-// relative error at the requested confidence, and the estimate is
-// recomputed. The synopsis must have been drawn from stored relations
-// (AddDrawn / Draw) so its samples can be extended in place; on return the
-// synopsis holds the enlarged samples.
+// SequentialCountContext runs double sampling: a pilot estimate
+// determines the variance, the sample is grown to the size projected to
+// achieve the target relative error at the requested confidence, and the
+// estimate is recomputed. The synopsis must have been drawn from stored
+// relations (AddDrawn / Draw) so its samples can be extended in place; on
+// return the synopsis holds the enlarged samples. The sample extensions
+// draw from opts.RNG (or a generator seeded with opts.Seed when RNG is
+// nil).
 //
 // The projection assumes every variance component scales as 1/n_i when all
 // sample sizes are scaled together — exact for the leading terms of the
@@ -80,20 +82,9 @@ type SequentialResult struct {
 // pilot-variance estimation noise; TargetMet reports the verdict from the
 // final sample itself.
 //
-// Deprecated: use SequentialCountContext, which takes the RNG through
-// SequentialOptions (RNG/Seed) so every estimation entry point shares the
-// (expr, synopsis, options) shape. This wrapper forwards rng via opts.RNG
-// and behaves identically.
-func SequentialCount(e *algebra.Expr, syn *Synopsis, rng *rand.Rand, opts SequentialOptions) (SequentialResult, error) {
-	opts.RNG = rng
-	return SequentialCountContext(context.Background(), e, syn, opts)
-}
-
-// SequentialCountContext runs double sampling under a context: the context
-// is polled before each phase (and, through the underlying estimator,
-// between terms and replicates), and a cancelled run returns a non-nil
-// error, never a partial result. The sample extensions draw from opts.RNG
-// (or a generator seeded with opts.Seed when RNG is nil).
+// The context is polled before each phase (and, through the underlying
+// estimator, between terms and replicates), and a cancelled run returns a
+// non-nil error, never a partial result.
 func SequentialCountContext(ctx context.Context, e *algebra.Expr, syn *Synopsis, opts SequentialOptions) (SequentialResult, error) {
 	rng := opts.rng()
 	if opts.TargetRelErr <= 0 {
@@ -257,22 +248,11 @@ type DeadlineStep struct {
 	Elapsed     time.Duration
 }
 
-// DeadlineCount grows the synopsis samples geometrically and re-estimates
-// until the budget expires, returning the final (most precise) estimate and
-// the per-round history. The answer available at the deadline is exactly
-// what the CASE-DB use case demands: the best estimate the time allowed.
-//
-// Deprecated: use DeadlineCountContext, which takes the RNG through
-// DeadlineOptions (RNG/Seed) so every estimation entry point shares the
-// (expr, synopsis, options) shape. This wrapper forwards rng via opts.RNG
-// and behaves identically.
-func DeadlineCount(e *algebra.Expr, syn *Synopsis, rng *rand.Rand, opts DeadlineOptions) (Estimate, []DeadlineStep, error) {
-	opts.RNG = rng
-	return DeadlineCountContext(context.Background(), e, syn, opts)
-}
-
-// DeadlineCountContext is deadline-bounded estimation under a context.
-// Budget expiry is the normal way out — the round running at the deadline
+// DeadlineCountContext grows the synopsis samples geometrically and
+// re-estimates until the budget expires, returning the final (most
+// precise) estimate and the per-round history. The answer available at
+// the deadline is exactly what the CASE-DB use case demands: the best
+// estimate the time allowed. Budget expiry is the normal way out — the round running at the deadline
 // completes and its estimate is returned with a nil error — but context
 // cancellation aborts: it is polled before every sampling round (and,
 // through the estimator, between terms), and a cancelled run returns a

@@ -1,6 +1,7 @@
 package estimator
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -42,7 +43,8 @@ func TestSequentialCount(t *testing.T) {
 	if err := syn.AddDrawn(s, 50, rng); err != nil {
 		t.Fatal(err)
 	}
-	res, err := SequentialCount(e, syn, rng, SequentialOptions{
+	res, err := SequentialCountContext(context.Background(), e, syn, SequentialOptions{
+		RNG:          rng,
 		TargetRelErr: 0.05,
 		PilotSize:    150,
 	})
@@ -79,14 +81,14 @@ func TestSequentialCountValidation(t *testing.T) {
 	syn := NewSynopsis()
 	_ = syn.AddDrawn(r, 50, rng)
 	_ = syn.AddDrawn(s, 50, rng)
-	if _, err := SequentialCount(e, syn, rng, SequentialOptions{}); err == nil {
+	if _, err := SequentialCountContext(context.Background(), e, syn, SequentialOptions{RNG: rng}); err == nil {
 		t.Error("zero TargetRelErr should fail")
 	}
 	// Synopsis not drawn from stored relations cannot extend.
 	ext := NewSynopsis()
 	_ = ext.AddSample(r.Subset("R", []int{0, 1, 2}), r.Len())
 	_ = ext.AddSample(s.Subset("S", []int{0, 1, 2}), s.Len())
-	if _, err := SequentialCount(e, ext, rng, SequentialOptions{TargetRelErr: 0.05}); err == nil {
+	if _, err := SequentialCountContext(context.Background(), e, ext, SequentialOptions{RNG: rng, TargetRelErr: 0.05}); err == nil {
 		t.Error("non-extensible synopsis should fail")
 	}
 }
@@ -97,7 +99,8 @@ func TestSequentialMaxFraction(t *testing.T) {
 	syn := NewSynopsis()
 	_ = syn.AddDrawn(r, 20, rng)
 	_ = syn.AddDrawn(s, 20, rng)
-	res, err := SequentialCount(e, syn, rng, SequentialOptions{
+	res, err := SequentialCountContext(context.Background(), e, syn, SequentialOptions{
+		RNG:          rng,
 		TargetRelErr: 0.0001, // unreachable: forces the cap
 		PilotSize:    50,
 		MaxFraction:  0.05,
@@ -119,7 +122,8 @@ func TestDeadlineCount(t *testing.T) {
 	syn := NewSynopsis()
 	_ = syn.AddDrawn(r, 10, rng)
 	_ = syn.AddDrawn(s, 10, rng)
-	est, history, err := DeadlineCount(e, syn, rng, DeadlineOptions{
+	est, history, err := DeadlineCountContext(context.Background(), e, syn, DeadlineOptions{
+		RNG:         rng,
 		Budget:      50 * time.Millisecond,
 		InitialSize: 50,
 	})
@@ -143,7 +147,7 @@ func TestDeadlineCount(t *testing.T) {
 		t.Errorf("deadline estimate relative error %.3f", rel)
 	}
 	// Validation.
-	if _, _, err := DeadlineCount(e, syn, rng, DeadlineOptions{}); err == nil {
+	if _, _, err := DeadlineCountContext(context.Background(), e, syn, DeadlineOptions{RNG: rng}); err == nil {
 		t.Error("zero budget should fail")
 	}
 }
@@ -156,7 +160,8 @@ func TestDeadlineCountExhaustsSmallRelations(t *testing.T) {
 	rng := testRand(48)
 	syn := NewSynopsis()
 	_ = syn.AddDrawn(r, 2, rng)
-	est, history, err := DeadlineCount(e, syn, rng, DeadlineOptions{
+	est, history, err := DeadlineCountContext(context.Background(), e, syn, DeadlineOptions{
+		RNG:         rng,
 		Budget:      time.Hour,
 		InitialSize: 2,
 	})

@@ -135,8 +135,8 @@ func TestMeetsPrecision(t *testing.T) {
 		want bool
 	}{
 		{"exact (zero variance)", sketch.Estimate{Value: 400}, true},
-		{"tight", sketch.Estimate{Value: 1000, Variance: 100}, true},         // 2·10/1000 = 2%
-		{"loose", sketch.Estimate{Value: 1000, Variance: 1000000}, false},    // 2·1000/1000 = 200%
+		{"tight", sketch.Estimate{Value: 1000, Variance: 100}, true},      // 2·10/1000 = 2%
+		{"loose", sketch.Estimate{Value: 1000, Variance: 1000000}, false}, // 2·1000/1000 = 200%
 		{"non-positive value", sketch.Estimate{Value: -5, Variance: 1}, false},
 		{"zero value", sketch.Estimate{Value: 0, Variance: 1}, false},
 	}
@@ -207,7 +207,7 @@ func TestEnsureSketchesLifecycle(t *testing.T) {
 // atom-for-atom identical to sketches rebuilt from the surviving tuples.
 func TestIncrementalSketchMatchesRebuild(t *testing.T) {
 	schema := intSchema("a", "b")
-	inc := NewIncremental(64, testRand(11))
+	inc := NewIncrementalWithOptions(IncrementalOptions{Capacity: 64, RNG: testRand(11)})
 	if err := inc.Track("R", schema); err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@
 package planner
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -367,7 +368,7 @@ type Sampling struct {
 
 // Cardinality implements CardinalityEstimator.
 func (s Sampling) Cardinality(e *algebra.Expr) (float64, error) {
-	est, err := estimator.CountWithOptions(e, s.Syn, estimator.Options{Variance: estimator.VarNone, Recorder: s.Rec})
+	est, err := estimator.CountContext(context.Background(), e, s.Syn, estimator.Options{Variance: estimator.VarNone, Recorder: s.Rec})
 	if err != nil {
 		return 0, err
 	}

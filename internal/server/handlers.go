@@ -539,15 +539,18 @@ func (s *Server) doEstimateShared(ctx context.Context, req EstimateRequest, plan
 	resp := EstimateResponse{Query: req.Query, Synopsis: req.Synopsis, Mode: req.Mode}
 	switch req.Mode {
 	case "plain":
-		var est EstimateResult
-		var err error
+		// Only a request that opted into tiering reports its tier, so an
+		// untiered body stays byte-identical to the sample-tier answer.
+		policy := estimator.TierSampleOnly
 		if tiered {
-			est, resp.Tier, err = s.tieredEstimate(ctx, st, syn, opts, tierPolicy, req.Precision)
-		} else {
-			est, err = s.plainEstimate(ctx, st, syn, opts)
+			policy = tierPolicy
 		}
+		est, tier, err := plainEstimate(ctx, st, syn, opts, policy, req.Precision)
 		if err != nil {
 			return estimateErrorStatus(err), ErrorResponse{Error: err.Error()}
+		}
+		if tiered {
+			resp.Tier = tier
 		}
 		resp.Estimate = est
 		resp.SamplesConsumed, err = consumedSamples(st.Expr, syn)
@@ -617,46 +620,15 @@ func (s *Server) doEstimateShared(ctx context.Context, req EstimateRequest, plan
 	return http.StatusOK, resp
 }
 
-// plainEstimate dispatches count/sum/avg with cancellation.
-func (s *Server) plainEstimate(ctx context.Context, st *query.Statement, syn *estimator.Synopsis, opts estimator.Options) (EstimateResult, error) {
-	switch st.Agg {
-	case "count":
-		est, err := estimator.CountContext(ctx, st.Expr, syn, opts)
-		if err != nil {
-			return EstimateResult{}, err
-		}
-		return toResult(est), nil
-	case "sum":
-		est, err := estimator.SumContext(ctx, st.Expr, st.AggCol, syn, opts)
-		if err != nil {
-			return EstimateResult{}, err
-		}
-		return toResult(est), nil
-	case "avg":
-		res, err := estimator.AvgContext(ctx, st.Expr, st.AggCol, syn, opts)
-		if err != nil {
-			return EstimateResult{}, err
-		}
-		// AVG is a ratio of two estimates; it has no CI of its own, so
-		// only the point value and the underlying term count are set.
-		return EstimateResult{
-			Value:          res.Avg,
-			VarianceMethod: estimator.VarNone.String(),
-			Terms:          res.Count.Terms,
-		}, nil
-	default:
-		return EstimateResult{}, fmt.Errorf("unsupported aggregate %q", st.Agg)
-	}
-}
-
-// tieredEstimate routes a plain query through the tier planner: the
-// request opted in via tier_policy/precision, so the response reports
-// which tier(s) answered. Building the handle also builds the synopsis's
-// sketch tier (idempotent and mutex-guarded, so sharing the static
-// synopsis across concurrent requests stays safe). Aggregates are always
-// sample-tier; under the "sketch" policy they fail with 422 rather than
-// silently downgrading.
-func (s *Server) tieredEstimate(ctx context.Context, st *query.Statement, syn *estimator.Synopsis, opts estimator.Options, policy estimator.TierPolicy, precision float64) (EstimateResult, string, error) {
+// plainEstimate answers a plain-mode count, sum or avg through an
+// estimation handle and reports the tier that answered. A request that
+// did not opt into tiering arrives with TierSampleOnly, which runs exactly
+// the sample-tier estimator and builds no sketches. A tiered policy also
+// builds the synopsis's sketch tier (idempotent and mutex-guarded, so
+// sharing the static synopsis across concurrent requests stays safe).
+// Aggregates are always sample-tier; under the "sketch" policy they fail
+// with 422 rather than silently downgrading.
+func plainEstimate(ctx context.Context, st *query.Statement, syn *estimator.Synopsis, opts estimator.Options, policy estimator.TierPolicy, precision float64) (EstimateResult, string, error) {
 	h := estimator.NewEstimator(syn,
 		estimator.WithOptions(opts),
 		estimator.WithTierPolicy(policy),
@@ -680,6 +652,8 @@ func (s *Server) tieredEstimate(ctx context.Context, st *query.Statement, syn *e
 		if err != nil {
 			return EstimateResult{}, "", err
 		}
+		// AVG is a ratio of two estimates; it has no CI of its own, so
+		// only the point value and the underlying term count are set.
 		return EstimateResult{
 			Value:          res.Avg,
 			VarianceMethod: estimator.VarNone.String(),

@@ -205,12 +205,6 @@ func Must(e *Expr, err error) *Expr { return algebra.Must(e, err) }
 // truth the estimators approximate.
 func ExactCount(e *Expr, cat Catalog) (int64, error) { return algebra.Count(e, cat) }
 
-// ExactEval evaluates e exactly and returns the result relation.
-func ExactEval(e *Expr, cat Catalog) (*Relation, error) {
-	//lint:ignore materialize the facade promises a fully materialized result the caller owns
-	return algebra.Eval(e, cat)
-}
-
 // Estimation ---------------------------------------------------------------
 
 // The estimation handle: the package's primary query surface. Build one
@@ -222,10 +216,11 @@ func ExactEval(e *Expr, cat Catalog) (*Relation, error) {
 //
 // Requests carry a precision target, an optional deadline, and a tier
 // policy (TierAuto answers from the sketch tier when it is precise
-// enough, escalating per term to the sample tier; TierSampleOnly is the
-// exact legacy path). The free functions below remain as deprecated thin
-// wrappers over a TierSampleOnly handle, bit-identical to their
-// historical outputs.
+// enough, escalating per term to the sample tier; TierSampleOnly always
+// runs the sample-based counting polynomial). The handle is the only way
+// to estimate a plain COUNT, SUM, AVG or GROUP BY; sequential and
+// deadline estimation, distinct counts and incremental synopses keep
+// their own functions below.
 type (
 	// Estimator is the unified estimation handle (Count/Sum/Avg/
 	// GroupCount over one synopsis, options and tier policy).
@@ -251,7 +246,8 @@ const (
 	TierAuto = estimator.TierAuto
 	// TierSketchOnly fails on any term the sketch tier cannot answer.
 	TierSketchOnly = estimator.TierSketchOnly
-	// TierSampleOnly is the exact legacy counting-polynomial path.
+	// TierSampleOnly always answers with the sample-based counting
+	// polynomial.
 	TierSampleOnly = estimator.TierSampleOnly
 )
 
@@ -314,6 +310,11 @@ type (
 	Incremental = estimator.Incremental
 	// FreqOfFreq is the sample summary distinct estimators consume.
 	FreqOfFreq = estimator.FreqOfFreq
+	// AvgResult is the ratio estimate AVG = SUM/COUNT with its components
+	// (Estimator.Avg).
+	AvgResult = estimator.AvgResult
+	// GroupEstimate is one group's estimated count (Estimator.GroupCount).
+	GroupEstimate = estimator.GroupEstimate
 )
 
 // Observability, re-exported from the metrics layer. Recording is passive:
@@ -369,107 +370,10 @@ func Draw(rels []*Relation, fraction float64, minSize int, rng *rand.Rand) (*Syn
 	return estimator.Draw(rels, fraction, minSize, rng)
 }
 
-// Count estimates COUNT(e) from the synopsis with default options
-// (automatic variance selection, 95% CLT confidence interval).
-//
-// Deprecated: use New(syn).Count with a Request; this wrapper is a
-// TierSampleOnly handle call and stays bit-identical to its historical
-// output (pinned by the goldens).
-func Count(e *Expr, syn *Synopsis) (Estimate, error) {
-	return CountWithOptions(e, syn, Options{})
-}
-
-// CountWithOptions estimates COUNT(e) with explicit options.
-//
-// Deprecated: use New(syn, WithOptions(opts)).Count with a Request; this
-// wrapper is a TierSampleOnly handle call and stays bit-identical.
-func CountWithOptions(e *Expr, syn *Synopsis, opts Options) (Estimate, error) {
-	return CountContext(context.Background(), e, syn, opts)
-}
-
-// CountContext estimates COUNT(e) under a context. Cancellation is polled
-// between polynomial terms and between variance replicates; a cancelled
-// call returns a non-nil error and never a partial estimate.
-//
-// Deprecated: use New(syn, WithOptions(opts), WithTierPolicy(
-// TierSampleOnly)).Count(ctx, Request{Expr: e}); this wrapper does
-// exactly that and stays bit-identical.
-func CountContext(ctx context.Context, e *Expr, syn *Synopsis, opts Options) (Estimate, error) {
-	res, err := New(syn, WithOptions(opts), WithTierPolicy(TierSampleOnly)).Count(ctx, Request{Expr: e})
-	return res.Estimate, err
-}
-
-// Sum estimates SUM(col) over the result of the π-free expression e with
-// default options (the TODS 1991 aggregate extension).
-//
-// Deprecated: use New(syn).Sum with a Request carrying Expr and Col; this
-// wrapper is a TierSampleOnly handle call and stays bit-identical.
-func Sum(e *Expr, col string, syn *Synopsis) (Estimate, error) {
-	return SumWithOptions(e, col, syn, Options{})
-}
-
-// SumWithOptions estimates SUM(col) with explicit options.
-//
-// Deprecated: use New(syn, WithOptions(opts)).Sum with a Request; this
-// wrapper is a TierSampleOnly handle call and stays bit-identical.
-func SumWithOptions(e *Expr, col string, syn *Synopsis, opts Options) (Estimate, error) {
-	return SumContext(context.Background(), e, col, syn, opts)
-}
-
-// SumContext estimates SUM(col) under a context, with the cancellation
-// contract of CountContext.
-//
-// Deprecated: use New(syn, WithOptions(opts), WithTierPolicy(
-// TierSampleOnly)).Sum(ctx, Request{Expr: e, Col: col}); this wrapper
-// does exactly that and stays bit-identical.
-func SumContext(ctx context.Context, e *Expr, col string, syn *Synopsis, opts Options) (Estimate, error) {
-	res, err := New(syn, WithOptions(opts), WithTierPolicy(TierSampleOnly)).Sum(ctx, Request{Expr: e, Col: col})
-	return res.Estimate, err
-}
-
-// AvgResult is the ratio estimate AVG = SUM/COUNT with its components.
-type AvgResult = estimator.AvgResult
-
-// Avg estimates AVG(col) over e's result as the SUM/COUNT ratio estimator
-// (consistent; biased O(1/n), as ratio estimators are).
-//
-// Deprecated: use New(syn, WithOptions(opts)).Avg with a Request carrying
-// Expr and Col; this wrapper is a TierSampleOnly handle call and stays
-// bit-identical.
-func Avg(e *Expr, col string, syn *Synopsis, opts Options) (AvgResult, error) {
-	res, _, err := New(syn, WithOptions(opts), WithTierPolicy(TierSampleOnly)).Avg(context.Background(), Request{Expr: e, Col: col})
-	return res, err
-}
-
-// GroupEstimate is one group's estimated count from GroupCount.
-type GroupEstimate = estimator.GroupEstimate
-
-// GroupCount estimates COUNT(*) GROUP BY col over the π-free expression e,
-// sorted by descending estimated count. Only groups observed in the sample
-// appear; each present group's estimate is unbiased.
-//
-// Deprecated: use New(syn).GroupCount with a Request carrying Expr and
-// Col; this wrapper is a TierSampleOnly handle call and stays
-// bit-identical.
-func GroupCount(e *Expr, col string, syn *Synopsis) ([]GroupEstimate, error) {
-	groups, _, err := New(syn, WithTierPolicy(TierSampleOnly)).GroupCount(context.Background(), Request{Expr: e, Col: col})
-	return groups, err
-}
-
 // Distinct estimates the number of distinct values of the given columns of
 // a base relation (COUNT(π_cols(rel))).
 func Distinct(syn *Synopsis, relName string, cols []string, method DistinctMethod) (float64, error) {
 	return estimator.Distinct(syn, relName, cols, method)
-}
-
-// SequentialCount runs double sampling toward a target relative error.
-//
-// Deprecated: use SequentialCountContext; the RNG now travels in
-// SequentialOptions (RNG, or Seed when RNG is nil), giving every
-// estimation entry point the same (expr, synopsis, options) shape. This
-// wrapper forwards rng through opts.RNG unchanged.
-func SequentialCount(e *Expr, syn *Synopsis, rng *rand.Rand, opts SequentialOptions) (SequentialResult, error) {
-	return estimator.SequentialCount(e, syn, rng, opts)
 }
 
 // SequentialCountContext runs double sampling toward a target relative
@@ -481,16 +385,6 @@ func SequentialCountContext(ctx context.Context, e *Expr, syn *Synopsis, opts Se
 	return estimator.SequentialCountContext(ctx, e, syn, opts)
 }
 
-// DeadlineCount grows samples until the time budget expires and returns
-// the estimate available at the deadline.
-//
-// Deprecated: use DeadlineCountContext; the RNG now travels in
-// DeadlineOptions (RNG, or Seed when RNG is nil). This wrapper forwards
-// rng through opts.RNG unchanged.
-func DeadlineCount(e *Expr, syn *Synopsis, rng *rand.Rand, opts DeadlineOptions) (Estimate, []DeadlineStep, error) {
-	return estimator.DeadlineCount(e, syn, rng, opts)
-}
-
 // DeadlineCountContext grows samples until the time budget expires and
 // returns the estimate available at the deadline. Budget expiry is the
 // normal path (the running round completes and its estimate is returned);
@@ -499,15 +393,6 @@ func DeadlineCount(e *Expr, syn *Synopsis, rng *rand.Rand, opts DeadlineOptions)
 // opts.Budget and its cancellation to ctx.
 func DeadlineCountContext(ctx context.Context, e *Expr, syn *Synopsis, opts DeadlineOptions) (Estimate, []DeadlineStep, error) {
 	return estimator.DeadlineCountContext(ctx, e, syn, opts)
-}
-
-// NewIncremental creates an incrementally maintained synopsis with the
-// given per-relation sample capacity.
-//
-// Deprecated: use NewIncrementalWithOptions, which takes the RNG through
-// IncrementalOptions (RNG/Seed). This wrapper forwards rng unchanged.
-func NewIncremental(capacity int, rng *rand.Rand) *Incremental {
-	return estimator.NewIncremental(capacity, rng)
 }
 
 // NewIncrementalWithOptions creates an incrementally maintained synopsis

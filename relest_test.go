@@ -2,12 +2,19 @@ package relest_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 	"time"
 
 	"relest"
 )
+
+// sampleTier is a handle pinned to the sample tier: the counting
+// polynomial over the synopsis samples, with the given options.
+func sampleTier(syn *relest.Synopsis, opts relest.Options) *relest.Estimator {
+	return relest.New(syn, relest.WithOptions(opts), relest.WithTierPolicy(relest.TierSampleOnly))
+}
 
 // TestFacadeEndToEnd drives the public API the way a downstream user would:
 // generate data, build expressions, draw a synopsis, estimate, and compare
@@ -34,7 +41,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := relest.Count(e, syn)
+	est, err := sampleTier(syn, relest.Options{}).Count(context.Background(), relest.Request{Expr: e})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +104,7 @@ func TestFacadeSequentialAndDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := relest.SequentialCount(e, syn, rng, relest.SequentialOptions{TargetRelErr: 0.1})
+	res, err := relest.SequentialCountContext(context.Background(), e, syn, relest.SequentialOptions{TargetRelErr: 0.1, RNG: rng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +117,8 @@ func TestFacadeSequentialAndDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := relest.Deadline(20 * time.Millisecond)
-	est, steps, err := relest.DeadlineCount(e, syn2, rng, opts)
+	opts.RNG = rng
+	est, steps, err := relest.DeadlineCountContext(context.Background(), e, syn2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +129,7 @@ func TestFacadeSequentialAndDeadline(t *testing.T) {
 
 func TestFacadeIncremental(t *testing.T) {
 	rng := relest.Seeded(5)
-	inc := relest.NewIncremental(300, rng)
+	inc := relest.NewIncrementalWithOptions(relest.IncrementalOptions{Capacity: 300, RNG: rng})
 	if err := inc.Track("R", relest.JoinSchema()); err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +150,7 @@ func TestFacadeIncremental(t *testing.T) {
 	}
 	e := relest.Must(relest.Select(relest.Base("R", relest.JoinSchema()),
 		relest.Cmp{Col: "a", Op: relest.LT, Val: relest.Int(30)}))
-	est, err := relest.Count(e, syn)
+	est, err := sampleTier(syn, relest.Options{}).Count(context.Background(), relest.Request{Expr: e})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,26 +165,27 @@ func TestFacadeSetOpsAndExactEval(t *testing.T) {
 	r2 := relest.ZipfRelation(rng, "R2", 0, 50, 400, relest.MapRandom)
 	u := relest.Must(relest.Union(relest.BaseOf(r1), relest.BaseOf(r2)))
 	cat := relest.MapCatalog{"R1": r1, "R2": r2}
-	res, err := relest.ExactEval(u, cat)
+	size, err := relest.ExactCount(u, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// ids are disjoint across the two generated relations? They are both
 	// 0..399, so tuples can coincide only when (a, id) pairs match.
-	if res.Len() < 400 || res.Len() > 800 {
-		t.Errorf("union size %d", res.Len())
+	if size < 400 || size > 800 {
+		t.Errorf("union size %d", size)
 	}
 	syn, err := relest.Draw([]*relest.Relation{r1, r2}, 0.25, 10, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := relest.CountWithOptions(u, syn, relest.Options{Variance: relest.VarSplitSample})
+	est, err := sampleTier(syn, relest.Options{Variance: relest.VarSplitSample}).
+		Count(context.Background(), relest.Request{Expr: u})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel := math.Abs(est.Value-float64(res.Len())) / float64(res.Len())
+	rel := math.Abs(est.Value-float64(size)) / float64(size)
 	if rel > 0.5 {
-		t.Errorf("union estimate %v vs %d", est.Value, res.Len())
+		t.Errorf("union estimate %v vs %d", est.Value, size)
 	}
 }
 
@@ -189,14 +198,15 @@ func TestFacadeSumAvg(t *testing.T) {
 	}
 	sel := relest.Must(relest.Select(relest.BaseOf(emp),
 		relest.Cmp{Col: "age", Op: relest.GT, Val: relest.Int(40)}))
-	sum, err := relest.Sum(sel, "salary", syn)
+	ctx := context.Background()
+	sum, err := sampleTier(syn, relest.Options{}).Sum(ctx, relest.Request{Expr: sel, Col: "salary"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sum.Value <= 0 || sum.Lo > sum.Hi {
 		t.Errorf("sum estimate %+v", sum)
 	}
-	avg, err := relest.Avg(sel, "salary", syn, relest.Options{Variance: relest.VarNone})
+	avg, _, err := sampleTier(syn, relest.Options{Variance: relest.VarNone}).Avg(ctx, relest.Request{Expr: sel, Col: "salary"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +229,8 @@ func TestFacadeDesigns(t *testing.T) {
 	if err := pageSyn.AddDrawnPages(r, 50, 10, rng); err != nil {
 		t.Fatal(err)
 	}
-	est, err := relest.Count(sel, pageSyn)
+	ctx := context.Background()
+	est, err := sampleTier(pageSyn, relest.Options{}).Count(ctx, relest.Request{Expr: sel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +245,7 @@ func TestFacadeDesigns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err = relest.Count(sel, stratSyn)
+	est, err = sampleTier(stratSyn, relest.Options{}).Count(ctx, relest.Request{Expr: sel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +307,7 @@ func TestFacadeProjectRejectedProperly(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := relest.Must(relest.Project(relest.BaseOf(r), "a"))
-	if _, err := relest.Count(p, syn); err == nil {
+	if _, err := sampleTier(syn, relest.Options{}).Count(context.Background(), relest.Request{Expr: p}); err == nil {
 		t.Error("COUNT over π must direct users to Distinct")
 	}
 }

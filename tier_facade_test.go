@@ -24,13 +24,13 @@ func requireSameEstimate(t *testing.T, label string, a, b relest.Estimate) {
 	}
 }
 
-// TestFacadeLegacyBitIdentityMatrix pins the API redesign's compatibility
-// contract: every deprecated free function is a thin wrapper over a
-// TierSampleOnly Estimator handle, and its output is bit-identical to the
-// handle's across the workers{1,4} × entry-point matrix. A TierAuto handle
-// answering a sketch-ineligible shape must also land on those exact bits —
-// escalation reuses the sample-tier computation unchanged, it does not
-// approximate it.
+// TestFacadeLegacyBitIdentityMatrix pins the handle's sample-tier
+// contract across the workers{1,4} matrix: a TierSampleOnly handle and a
+// per-request TierSampleOnly override on an auto handle give the same
+// bits, and a TierAuto handle answering a sketch-ineligible shape lands on
+// those exact bits too — escalation reuses the sample-tier computation
+// unchanged, it does not approximate it. Sum, Avg and GroupCount always
+// report the sample tier.
 func TestFacadeLegacyBitIdentityMatrix(t *testing.T) {
 	rng := relest.Seeded(31)
 	r1, r2 := relest.JoinPair(rng, relest.JoinPairSpec{
@@ -50,112 +50,67 @@ func TestFacadeLegacyBitIdentityMatrix(t *testing.T) {
 
 	for _, workers := range []int{1, 4} {
 		opts := relest.Options{Workers: workers}
+		sample := sampleTier(syn, opts)
+		auto := relest.New(syn, relest.WithOptions(opts))
 		for _, c := range []struct {
 			name string
 			expr *relest.Expr
 		}{{"selection", sel}, {"join", join}} {
-			legacy, err := relest.CountWithOptions(c.expr, syn, opts)
+			pinned, err := sample.Count(ctx, relest.Request{Expr: c.expr})
 			if err != nil {
 				t.Fatal(err)
 			}
-			viaCtx, err := relest.CountContext(ctx, c.expr, syn, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameEstimate(t, c.name+"/CountContext", legacy, viaCtx)
-
-			h := relest.New(syn, relest.WithOptions(opts), relest.WithTierPolicy(relest.TierSampleOnly))
-			res, err := h.Count(ctx, relest.Request{Expr: c.expr})
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameEstimate(t, c.name+"/sample-only handle", legacy, res.Estimate)
-			if res.Tier.Answered != relest.TierAnsweredSample {
-				t.Errorf("%s: sample-only handle reported tier %q", c.name, res.Tier.Answered)
+			if pinned.Tier.Answered != relest.TierAnsweredSample {
+				t.Errorf("%s: sample-only handle reported tier %q", c.name, pinned.Tier.Answered)
 			}
 
 			// Per-request override on an auto handle: pinning the request to
-			// the sample tier must reproduce the legacy bits too.
-			auto := relest.New(syn, relest.WithOptions(opts))
-			res, err = auto.Count(ctx, relest.Request{Expr: c.expr, Tier: relest.TierSampleOnly})
+			// the sample tier must reproduce the sample-only handle's bits.
+			res, err := auto.Count(ctx, relest.Request{Expr: c.expr, Tier: relest.TierSampleOnly})
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireSameEstimate(t, c.name+"/request override", legacy, res.Estimate)
+			requireSameEstimate(t, c.name+"/request override", pinned.Estimate, res.Estimate)
 		}
 
 		// TierAuto on a sketch-ineligible shape escalates into the exact
 		// same sample-tier computation.
-		legacySel, err := relest.CountWithOptions(sel, syn, opts)
+		pinnedSel, err := sample.Count(ctx, relest.Request{Expr: sel})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := relest.New(syn, relest.WithOptions(opts)).Count(ctx, relest.Request{Expr: sel})
+		res, err := auto.Count(ctx, relest.Request{Expr: sel})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Tier.Answered != relest.TierAnsweredSample {
 			t.Fatalf("auto policy on a selection answered %q, want sample", res.Tier.Answered)
 		}
-		if !bitsEqual(res.Value, legacySel.Value) || !bitsEqual(res.StdErr, legacySel.StdErr) {
-			t.Errorf("workers=%d: escalated selection %v±%v differs from legacy %v±%v",
-				workers, res.Value, res.StdErr, legacySel.Value, legacySel.StdErr)
+		if !bitsEqual(res.Value, pinnedSel.Value) || !bitsEqual(res.StdErr, pinnedSel.StdErr) {
+			t.Errorf("workers=%d: escalated selection %v±%v differs from sample tier %v±%v",
+				workers, res.Value, res.StdErr, pinnedSel.Value, pinnedSel.StdErr)
 		}
 
-		// Sum/Avg/GroupCount wrappers against their handle equivalents.
-		sumLegacy, err := relest.SumWithOptions(sel, "id", syn, opts)
+		// Aggregates carry no sketch form: every auto-handle answer is
+		// sample-tier.
+		sumRes, err := auto.Sum(ctx, relest.Request{Expr: sel, Col: "id"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sumRes, err := relest.New(syn, relest.WithOptions(opts), relest.WithTierPolicy(relest.TierSampleOnly)).
-			Sum(ctx, relest.Request{Expr: sel, Col: "id"})
+		if sumRes.Tier.Answered != relest.TierAnsweredSample {
+			t.Errorf("workers=%d: sum answered %q", workers, sumRes.Tier.Answered)
+		}
+		if _, rep, err := auto.Avg(ctx, relest.Request{Expr: sel, Col: "id"}); err != nil {
+			t.Fatal(err)
+		} else if rep.Answered != relest.TierAnsweredSample {
+			t.Errorf("workers=%d: avg answered %q", workers, rep.Answered)
+		}
+		groups, rep, err := auto.GroupCount(ctx, relest.Request{Expr: sel, Col: "a"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameEstimate(t, "sum", sumLegacy, sumRes.Estimate)
-
-		avgLegacy, err := relest.Avg(sel, "id", syn, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		avgRes, _, err := relest.New(syn, relest.WithOptions(opts), relest.WithTierPolicy(relest.TierSampleOnly)).
-			Avg(ctx, relest.Request{Expr: sel, Col: "id"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bitsEqual(avgLegacy.Avg, avgRes.Avg) || !bitsEqual(avgLegacy.Sum.Value, avgRes.Sum.Value) {
-			t.Errorf("avg wrapper %+v != handle %+v", avgLegacy, avgRes)
+		if rep.Answered != relest.TierAnsweredSample || len(groups) == 0 {
+			t.Errorf("workers=%d: group count answered %q with %d groups", workers, rep.Answered, len(groups))
 		}
 	}
-
-	groupsLegacy, err := relest.GroupCount(sel, "a", syn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	groupsRes, rep, err := relest.New(syn, relest.WithTierPolicy(relest.TierSampleOnly)).
-		GroupCount(ctx, relest.Request{Expr: sel, Col: "a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Answered != relest.TierAnsweredSample || len(groupsLegacy) != len(groupsRes) {
-		t.Fatalf("group count: tier %q, %d vs %d groups", rep.Answered, len(groupsLegacy), len(groupsRes))
-	}
-	for i := range groupsLegacy {
-		if !groupsLegacy[i].Value.Equal(groupsRes[i].Value) || !bitsEqual(groupsLegacy[i].Count, groupsRes[i].Count) {
-			t.Errorf("group %d: %+v != %+v", i, groupsLegacy[i], groupsRes[i])
-		}
-	}
-
-	// The loose-RNG sequential wrapper against the options-RNG context
-	// variant: same seed, same bits.
-	wrapped, err := relest.SequentialCount(join, syn, relest.Seeded(77), relest.SequentialOptions{TargetRelErr: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaOpts, err := relest.SequentialCountContext(ctx, join, syn,
-		relest.SequentialOptions{TargetRelErr: 0.2, RNG: relest.Seeded(77)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameEstimate(t, "sequential", wrapped.Final, viaOpts.Final)
 }
